@@ -929,90 +929,6 @@ let svc_scaling () =
     "@.(offered load fixed at 2.0 Mops/s; goodput should rise toward it and \
      the tail collapse as shards absorb the queueing)@."
 
-(* ---- domain-parallel service scaling ------------------------------------------- *)
-
-(* Host-parallel scaling of the epoch-exchange service engine
-   (Svc.Domains): the same config run with every station on the calling
-   domain (--domains 1) and with one worker domain per shard
-   (--domains = shards). The simulated report is byte-identical by
-   construction — the gate below re-checks it — so the figure of merit is
-   host wall clock: sequential vs domain-parallel time for the same
-   simulation, per shard count. On a 1-core host the parallel column only
-   shows the domain-spawn/barrier overhead (see EXPERIMENTS.md,
-   "Multicore sweeps"); the speedup column is meaningful on multicore. *)
-let svc_domains () =
-  Report.heading
-    "Service domain scaling — epoch-exchange engine, sequential vs \
-     domain-parallel";
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "host cores: %d (parallel speedup needs > 1)@." cores;
-  let cfg shards =
-    {
-      Svc.Config.default with
-      shards;
-      zones = shards;
-      clients = 16;
-      requests_per_client = (if !scale == full then 1_000 else 400);
-      offered_mops = 2.0;
-      workload = W.c;
-      n_initial = 4_096;
-      seed;
-    }
-  in
-  (* no Pool.map here: the parallel leg must own the machine's domains *)
-  let rows =
-    List.map
-      (fun shards ->
-        let timed domains =
-          let t = Unix.gettimeofday () in
-          let r = Svc.Domains.run ~domains (cfg shards) in
-          (r, Unix.gettimeofday () -. t)
-        in
-        let r_seq, w_seq = timed 1 in
-        let r_par, w_par = timed shards in
-        if Svc.Slo.to_json r_seq <> Svc.Slo.to_json r_par then
-          failwith
-            (Printf.sprintf
-               "svc-domains: report diverged at %d shards (domains 1 vs %d)"
-               shards shards);
-        (shards, r_par, w_seq, w_par))
-      [ 1; 2; 4; 8 ]
-  in
-  Report.series ~title:"host wall clock (simulated report byte-identical)"
-    ~x_label:"shards" ~x_values:(List.map (fun (s, _, _, _) -> s) rows)
-    ~columns:
-      [
-        ("sequential (s)", List.map (fun (_, _, w, _) -> (w, 0.0)) rows);
-        ("parallel (s)", List.map (fun (_, _, _, w) -> (w, 0.0)) rows);
-        ( "speedup",
-          List.map
-            (fun (_, _, ws, wp) -> ((if wp > 0.0 then ws /. wp else 0.0), 0.0))
-            rows );
-      ];
-  Report.table
-    ~headers:
-      [
-        "shards"; "goodput (Mops/s)"; "p99 (us)"; "seq wall (s)";
-        "par wall (s)"; "speedup";
-      ]
-    ~rows:
-      (List.map
-         (fun (shards, r, ws, wp) ->
-           let m = Svc.Slo.summarize r.Svc.Slo.merged in
-           [
-             string_of_int shards;
-             Printf.sprintf "%.3f" r.Svc.Slo.goodput_mops;
-             Printf.sprintf "%.2f" (m.Svc.Slo.p99 /. 1e3);
-             Printf.sprintf "%.2f" ws;
-             Printf.sprintf "%.2f" wp;
-             Printf.sprintf "%.2f" (if wp > 0.0 then ws /. wp else 0.0);
-           ])
-         rows);
-  Fmt.pr
-    "@.(each row runs the identical simulation twice — all stations on one \
-     domain, then one domain per shard; goodput/p99 are simulated and \
-     engine-deterministic, walls are host time)@."
-
 (* ---- tail anatomy --------------------------------------------------------------- *)
 
 (* Power-fail tail anatomy: a 4-shard service campaign with span recording,
@@ -1175,7 +1091,6 @@ let experiments =
     ("ablations", ablations);
     ("layout", layout);
     ("svc-scaling", svc_scaling);
-    ("svc-domains", svc_domains);
     ("tail-anatomy", tail_anatomy);
     ("micro", micro);
     ("smoke", smoke);
@@ -1186,7 +1101,7 @@ let default_set =
   [
     "fig5.1"; "fig5.2"; "fig5.3"; "fig5.4"; "fig5.5"; "table5.4"; "workloadE";
     "table2.1"; "chapter6"; "ablations"; "layout"; "svc-scaling";
-    "svc-domains"; "tail-anatomy";
+    "tail-anatomy";
   ]
 
 (* Baseline wall-clock file: one "<experiment> <seconds>" pair per line,

@@ -488,7 +488,7 @@ let recovery_term =
 let serve_cmd structure shards zones clients requests load arrival workload
     batch queue_cap policy keys latency shard_mode shard_nodes seed crash_shard
     crash_at_us json_out spans window_us span_json trace_out trace_capacity
-    detect domains exchange_ns obs_out =
+    detect obs_out =
   let ( let* ) r f =
     match r with
     | Error e ->
@@ -552,20 +552,11 @@ let serve_cmd structure shards zones clients requests load arrival workload
       spans = spans || span_json <> None;
       window_ns = window_us *. 1_000.0;
       detect;
-      exchange_ns;
     }
   in
   let* () = Svc.Config.validate cfg in
-  let* () =
-    match (domains > 0, policy) with
-    | true, Svc.Config.Delay _ ->
-        Error "--domains needs the shed policy (delay is composite-only)"
-    | _ -> Ok ()
-  in
   if trace_out <> None then Obs.Trace.start ~capacity:trace_capacity ();
-  let report =
-    if domains > 0 then Svc.Domains.run ~domains cfg else Svc.Service.run cfg
-  in
+  let report = Svc.Service.run cfg in
   Obs.Trace.stop ();
   Svc.Slo.pp Format.std_formatter report;
   (match json_out with
@@ -586,7 +577,7 @@ let serve_cmd structure shards zones clients requests load arrival workload
   | None -> ());
   (match obs_out with
   | Some path ->
-      (* deterministic counter totals, for the domain-determinism gate *)
+      (* deterministic counter totals, for the rerun-determinism gate *)
       let totals = Obs.totals () in
       let oc = open_out path in
       output_string oc
@@ -720,28 +711,6 @@ let detect_t =
            decided through their descriptors (acked if applied, replayed \
            exactly once if not).")
 
-let domains_t =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ]
-        ~doc:
-          "Run the epoch-exchange engine (Svc.Domains): 1 steps every \
-           station sequentially on one domain, N>1 pins shard stations to \
-           up to N parallel domains. The SLO/span/Obs output is \
-           byte-identical for every value. 0 (default) runs the composite \
-           single-scheduler engine.")
-
-let exchange_ns_t =
-  Arg.(
-    value
-    & opt float Svc.Config.default.Svc.Config.exchange_ns
-    & info [ "exchange-ns" ]
-        ~doc:
-          "Exchange-epoch length of the --domains engine in simulated ns: \
-           stations step their schedulers this far between mailbox \
-           exchanges. Part of the config, so it changes the simulated \
-           schedule (ignored by the composite engine).")
-
 let obs_out_t =
   Arg.(
     value & opt (some string) None
@@ -754,8 +723,7 @@ let serve_term =
     $ load_t $ arrival_t $ workload_t $ batch_t $ queue_cap_t $ policy_t
     $ keys_t $ latency_t $ mode_t $ shard_nodes_t $ seed_t $ crash_shard_t
     $ crash_at_t $ serve_json_t $ spans_t $ window_us_t $ span_json_t
-    $ serve_trace_t $ trace_capacity_t $ detect_t $ domains_t $ exchange_ns_t
-    $ obs_out_t)
+    $ serve_trace_t $ trace_capacity_t $ detect_t $ obs_out_t)
 
 (* ---- tail-anatomy -------------------------------------------------------------- *)
 

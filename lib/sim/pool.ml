@@ -115,154 +115,3 @@ let run ?jobs thunks =
   end
 
 let map ?jobs f xs = run ?jobs (List.map (fun x () -> f x) xs)
-
-(* ------------------------------------------------------------------ *)
-(* Phased execution of communicating stations.
-
-   [run] above handles independent jobs; [run_phased] generalizes the same
-   domain/Obs/trace discipline to long-lived stations that exchange
-   messages. Execution alternates compute phases (every station steps once
-   for the current round, stations 1.. distributed over pinned worker
-   domains, station 0 on the caller) with exchange phases (the caller runs
-   [exchange] while every station is quiescent — this is where mailboxes
-   move, in whatever fixed order the caller implements). A Mutex+Condition
-   barrier separates the phases, so step code never observes a concurrent
-   exchange and vice versa; the station->domain assignment is fixed for the
-   whole run (station i>=1 lives on worker (i-1) mod w).
-
-   With [domains:0] the identical schedule runs inline on the caller:
-   steps in station order, then the exchange — the sequential fallback a
-   deterministic caller can byte-compare against.
-
-   Worker-domain Obs counter deltas (and trace segments, when the caller
-   records a trace) are merged into the caller in worker order after the
-   run, as in [run]. Counter totals therefore match the sequential
-   schedule exactly; trace *interleaving* may differ (a worker's events
-   absorb as one contiguous segment), which is why callers that promise
-   byte-identical artifacts exclude raw traces from that promise. *)
-
-type phased_slot = {
-  mutable p_exn : (exn * Printexc.raw_backtrace) option;
-  mutable p_obs : (int array array * int array array) option;
-  mutable p_seg : Obs.Trace.captured option;
-}
-
-let run_phased ?(domains = 0) ~stations ~step ~exchange ~finalize () =
-  if stations <= 0 then invalid_arg "Pool.run_phased: stations must be > 0";
-  let seq () =
-    let continue = ref true and r = ref 0 in
-    while !continue do
-      for i = 0 to stations - 1 do
-        step ~station:i ~round:!r
-      done;
-      continue := exchange ~round:!r;
-      incr r
-    done;
-    for i = 0 to stations - 1 do
-      finalize ~station:i
-    done
-  in
-  let w = min domains (stations - 1) in
-  if w <= 0 || Domain.DLS.get in_worker_key then seq ()
-  else begin
-    let m = Mutex.create () in
-    let cv = Condition.create () in
-    (* barrier state, all under [m]: the round currently released to the
-       workers, how many workers have completed it, and the stop signal *)
-    let round = ref (-1) in
-    let done_count = ref 0 in
-    let stopping = ref false in
-    let trace_cap = if Obs.Trace.enabled () then Obs.Trace.capacity () else 0 in
-    let slots =
-      Array.init w (fun _ -> { p_exn = None; p_obs = None; p_seg = None })
-    in
-    let stations_of j =
-      let rec go i acc = if i < 1 then acc else go (i - 1) (i :: acc) in
-      List.filter (fun i -> (i - 1) mod w = j) (go (stations - 1) [])
-    in
-    let worker j () =
-      Domain.DLS.set in_worker_key true;
-      if trace_cap > 0 then Obs.Trace.start ~capacity:trace_cap ();
-      let before = Obs.snapshot () in
-      let slot = slots.(j) in
-      let mine = stations_of j in
-      let last = ref (-1) in
-      let running = ref true in
-      while !running do
-        Mutex.lock m;
-        while !round = !last && not !stopping do
-          Condition.wait cv m
-        done;
-        let stop_now = !stopping and r = !round in
-        Mutex.unlock m;
-        if stop_now then begin
-          (if slot.p_exn = None then
-             try List.iter (fun i -> finalize ~station:i) mine
-             with e -> slot.p_exn <- Some (e, Printexc.get_raw_backtrace ()));
-          running := false
-        end
-        else begin
-          last := r;
-          (if slot.p_exn = None then
-             try List.iter (fun i -> step ~station:i ~round:r) mine
-             with e -> slot.p_exn <- Some (e, Printexc.get_raw_backtrace ()));
-          Mutex.lock m;
-          incr done_count;
-          Condition.broadcast cv;
-          Mutex.unlock m
-        end
-      done;
-      slot.p_obs <- Some (before, Obs.snapshot ());
-      if trace_cap > 0 then slot.p_seg <- Some (Obs.Trace.capture ~since:0)
-    in
-    let doms = Array.init w (fun j -> Domain.spawn (worker j)) in
-    let caller_exn = ref None in
-    let note_exn e = caller_exn := Some (e, Printexc.get_raw_backtrace ()) in
-    (let continue = ref true and r = ref 0 in
-     while !continue do
-       Mutex.lock m;
-       done_count := 0;
-       round := !r;
-       Condition.broadcast cv;
-       Mutex.unlock m;
-       (if !caller_exn = None then
-          try step ~station:0 ~round:!r with e -> note_exn e);
-       Mutex.lock m;
-       while !done_count < w do
-         Condition.wait cv m
-       done;
-       Mutex.unlock m;
-       let failed =
-         !caller_exn <> None || Array.exists (fun s -> s.p_exn <> None) slots
-       in
-       if failed then continue := false
-       else continue := (try exchange ~round:!r with e -> note_exn e; false);
-       incr r
-     done);
-    Mutex.lock m;
-    stopping := true;
-    Condition.broadcast cv;
-    Mutex.unlock m;
-    (if !caller_exn = None && Array.for_all (fun s -> s.p_exn = None) slots
-     then try finalize ~station:0 with e -> note_exn e);
-    Array.iter Domain.join doms;
-    (* merge worker-domain observability into the caller, in worker order *)
-    Array.iter
-      (fun s ->
-        match s.p_obs with
-        | Some (before, after) -> Obs.add_delta ~before ~after
-        | None -> ())
-      slots;
-    Array.iter
-      (fun s -> match s.p_seg with Some seg -> Obs.Trace.absorb seg | None -> ())
-      slots;
-    (* first worker exception (by worker index), else the caller's *)
-    let first =
-      Array.fold_left
-        (fun acc s -> if acc = None then s.p_exn else acc)
-        None slots
-    in
-    match (first, !caller_exn) with
-    | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None, None -> ()
-  end

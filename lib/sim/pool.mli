@@ -28,33 +28,3 @@ val run : ?jobs:int -> (unit -> 'a) list -> 'a list
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [run ~jobs (List.map (fun x () -> f x) xs)]. *)
-
-val run_phased :
-  ?domains:int ->
-  stations:int ->
-  step:(station:int -> round:int -> unit) ->
-  exchange:(round:int -> bool) ->
-  finalize:(station:int -> unit) ->
-  unit ->
-  unit
-(** Phased execution of [stations] communicating long-lived loops. Round
-    [r] calls [step ~station:i ~round:r] once per station, then — with
-    every station quiescent — [exchange ~round:r] on the caller; rounds
-    continue while [exchange] returns [true], after which
-    [finalize ~station:i] runs once per station on the station's owning
-    domain.
-
-    With [domains:0] (default) everything runs inline on the caller:
-    steps in station order then the exchange — the sequential fallback.
-    With [domains:w > 0], station 0 runs on the caller and stations 1..
-    are distributed round-robin over [min w (stations-1)] pinned worker
-    domains, with a barrier between the compute and exchange phases of
-    every round. Stations must not share mutable state with each other;
-    the exchange callback may touch all of them (it runs while they are
-    quiescent, with the barrier providing the happens-before edges).
-
-    Worker-domain Obs counter deltas (and trace segments, when the caller
-    is recording) merge back into the caller in worker order, so counter
-    totals equal the sequential schedule exactly; trace event interleaving
-    may differ between the two modes. The first station exception (caller
-    exceptions last) re-raises after all domains join. *)

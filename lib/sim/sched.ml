@@ -232,10 +232,6 @@ type run_state = {
   park_wake : float array;  (* cell 0: wake-up time for a pending [Park] *)
   crash : crash_point;
   fast_path : bool;
-  mutable until : float;
-      (* epoch bound of the step in progress: events at or beyond it park
-         through the heap instead of running, so [step ~until] leaves them
-         for a later step. [infinity] for unbounded runs. *)
   mutable events : int;
   mutable seq : int;
   mutable crashed : bool;
@@ -268,9 +264,7 @@ let inline_settle st =
     raise Crashed
   end;
   let wake = Array.unsafe_get st.clock 0 +. Array.unsafe_get st.latency 0 in
-  if
-    wake < st.until && (st.heap.Heap.len = 0 || wake < Heap.min_time st.heap)
-  then begin
+  if st.heap.Heap.len = 0 || wake < Heap.min_time st.heap then begin
     Array.unsafe_set st.clock 0 wake;
     if crash_due st then begin
       st.crashed <- true;
@@ -346,19 +340,7 @@ let self () =
 
 let yield () = charge 15.0
 
-(* An epoch-bounded scheduling session: the same run state as [run], but
-   driven in externally-controlled slices ([step ~until]) instead of one
-   shot. Fibers whose next wake-up lies at or beyond the current bound park
-   through the heap and stay there until a later step (or [finish]) covers
-   their wake-up time, so a session's event order is the concatenation of
-   its steps' event orders — identical to one unbounded run over the same
-   bodies. This is what lets a service engine interleave many independent
-   schedulers round-robin on one domain, or pin them to parallel domains,
-   with bit-identical results (see Svc.Domains). *)
-type session = { st : run_state; fibers : int; mutable outcome : outcome option }
-
-let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
-    bodies =
+let run ?(crash = No_crash) ?(fast_path = true) ~(machine : machine) bodies =
   if Array.length machine.clock = 0 || Array.length machine.latency = 0 then
     invalid_arg "Sched.run: machine.clock and machine.latency need a cell 0";
   let max_tid =
@@ -378,7 +360,6 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
       park_wake = Array.make 1 0.0;
       crash;
       fast_path;
-      until = infinity;
       events = 0;
       seq = 0;
       crashed = false;
@@ -495,20 +476,8 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
        lock-step. *)
     park (0.1 *. float_of_int tid) tid (Start start)
   in
-  List.iter launch bodies;
-  { st; fibers = List.length bodies; outcome = None }
-
-(* Pop and run events while the next wake-up lies strictly below [st.until]
-   (unconditionally once crashed: the drain that kills every parked fiber
-   must not stop at an epoch bound). The DLS slot is set for the duration of
-   each drive, so sessions from many schedulers can interleave on one domain
-   — or run pinned to parallel domains — without sharing any state. *)
-let drive st =
   let rec loop () =
-    if
-      st.heap.Heap.len > 0
-      && (st.crashed || Heap.min_time st.heap < st.until)
-    then begin
+    if st.heap.Heap.len > 0 then begin
       let time = Heap.min_time st.heap in
       let tid = Heap.pop_min st.heap in
       let w = Array.unsafe_get st.waiters tid in
@@ -537,48 +506,19 @@ let drive st =
   in
   let saved = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some st);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current_key saved) loop
-
-let step s ~until =
-  (match s.outcome with
-  | Some _ -> invalid_arg "Sched.step: session already finished"
-  | None -> ());
-  s.st.until <- until;
-  drive s.st
-
-let session_now s = s.st.clock.(0)
-
-let session_pending s = s.st.heap.Heap.len
-
-let finish s =
-  match s.outcome with
-  | Some o -> o
-  | None ->
-      let st = s.st in
-      st.until <- infinity;
-      drive st;
-      (if Sys.getenv_opt "SCHED_DEBUG_PARKS" <> None then
-         Printf.eprintf "SCHED_DEBUG events=%d parks=%d inline=%.1f%%\n%!"
-           st.events st.seq
-           (100.0
-           *. float_of_int (st.events - st.seq)
-           /. float_of_int (max 1 st.events)));
-      let o =
-        if st.crashed then
-          Crashed_at { time = st.clock.(0); events = st.events }
-        else begin
-          if st.finished <> s.fibers then
-            failwith
-              (Printf.sprintf
-                 "Sched.run: %d of %d fibers never finished (hung fiber: the \
-                  event queue drained while a continuation was still \
-                  suspended)"
-                 (s.fibers - st.finished) s.fibers);
-          Completed { time = st.clock.(0); events = st.events; fibers = s.fibers }
-        end
-      in
-      s.outcome <- Some o;
-      o
-
-let run ?crash ?fast_path ~machine bodies =
-  finish (open_session ?crash ?fast_path ~machine bodies)
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set current_key saved)
+    (fun () ->
+      List.iter launch bodies;
+      loop ();
+      if st.crashed then Crashed_at { time = st.clock.(0); events = st.events }
+      else begin
+        let fibers = List.length bodies in
+        if st.finished <> fibers then
+          failwith
+            (Printf.sprintf
+               "Sched.run: %d of %d fibers never finished (hung fiber: the \
+                event queue drained while a continuation was still suspended)"
+               (fibers - st.finished) fibers);
+        Completed { time = st.clock.(0); events = st.events; fibers }
+      end)

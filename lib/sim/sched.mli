@@ -103,45 +103,3 @@ val run :
     On a non-crashed completion every fiber must have finished; if the event
     queue drains while a fiber is still suspended (a scheduler or workload
     bug), [run] raises [Failure] instead of silently returning. *)
-
-(** {1 Epoch-bounded sessions}
-
-    A session is a [run] driven in externally-controlled slices: each
-    {!step} executes exactly the events whose virtual wake-up time lies
-    strictly below its [until] bound and leaves everything else parked in
-    the heap. The concatenation of a session's steps replays the same event
-    sequence as one unbounded [run] over the same bodies, so a caller can
-    interleave steps of many independent schedulers on one domain — or pin
-    each session to its own domain and step them in parallel between
-    synchronisation barriers — with bit-identical per-session results
-    (see [Svc.Domains]). *)
-
-type session
-
-val open_session :
-  ?crash:crash_point ->
-  ?fast_path:bool ->
-  machine:machine ->
-  (int * (tid:int -> unit)) list ->
-  session
-(** Create a session over [bodies]: resets [machine.clock.(0)] to [0.0] and
-    parks every fiber at its staggered start time, exactly as [run] does,
-    but executes nothing yet. Argument validation as for {!run}. *)
-
-val step : session -> until:float -> unit
-(** Run the session's events with wake-up time [< until] (in virtual-time
-    order, ties broken as in [run]). Events at or beyond [until] — including
-    fibers that would have advanced inline past it — stay parked for a later
-    step. A step with nothing due is a no-op. [Invalid_argument] after
-    {!finish}. *)
-
-val finish : session -> outcome
-(** Run every remaining event to completion (or to the crash point) and
-    return the outcome, with the same hung-fiber check as {!run}.
-    Idempotent: repeated calls return the first outcome. *)
-
-val session_now : session -> float
-(** The session's current virtual time (its machine's [clock.(0)]). *)
-
-val session_pending : session -> int
-(** Number of parked fibers still waiting in the session's event heap. *)

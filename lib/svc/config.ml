@@ -24,7 +24,6 @@ type t = {
   merge_ns_per_item : float;
   poll_ns : float;
   sample_ns : float;
-  exchange_ns : float;
   seed : int;
   sys : Kv.sys;
   crash : crash_plan option;
@@ -56,7 +55,6 @@ let default =
     merge_ns_per_item = 5.0;
     poll_ns = 500.0;
     sample_ns = 50_000.0;
-    exchange_ns = 1_000.0;
     seed = 42;
     sys = { Kv.default_sys with numa_nodes = 1; pool_words = 1 lsl 20 };
     crash = None;
@@ -89,7 +87,6 @@ let validate t =
     err "queue-cap must be positive (got %d)" t.queue_cap
   else if t.poll_ns <= 0.0 then err "poll interval must be positive"
   else if t.sample_ns <= 0.0 then err "sample interval must be positive"
-  else if t.exchange_ns <= 0.0 then err "exchange epoch must be positive"
   else if t.window_ns <= 0.0 then err "window must be positive"
   else if t.spans && t.span_top < 0 then err "span-top must be non-negative"
   else if t.spans && t.span_sample < 0 then

@@ -35,11 +35,6 @@ type t = {
   merge_ns_per_item : float;  (** scan fan-out reduce cost per element *)
   poll_ns : float;  (** worker idle-poll interval *)
   sample_ns : float;  (** monitor sampling interval for depth series *)
-  exchange_ns : float;
-      (** exchange-epoch length for the domain-parallel engine
-          ({!Domains}): cross-station messages published during epoch [r]
-          become visible at the start of epoch [r+1]. Ignored by the
-          composite single-scheduler engine ({!Service.run}). *)
   seed : int;
   sys : Harness.Kv.sys;
       (** per-shard template; each shard gets [seed + 1000*s] and its own

@@ -42,11 +42,6 @@ val preload_shard : Router.t -> Config.t -> Harness.Kv.t -> int -> unit
     run on its own machine, then reset its Pmem counters (Pmem's new-run
     detection handles the clock reset when the service run follows). *)
 
-val config_summary : Config.t -> (string * string) list
-(** Ordered, deterministic key/value rendering of the config — the
-    [config_summary] field of the reports both engines (this one and
-    {!Domains}) produce. *)
-
 val run : Config.t -> Slo.t
 (** One full run: per-shard preload of keys [1..n_initial] (hash-routed),
     then traffic until every client stream ends and every queue drains.

@@ -67,10 +67,6 @@ type span_summary = {
       (** (shard, outage start, outage end) for crashed shards *)
 }
 
-val empty_summary : unit -> span_summary
-(** A zero summary (fresh histograms, empty lists) — the unit of
-    {!merge_summaries}. *)
-
 val merge_summaries : span_summary list -> span_summary
 (** Exact aggregate over independent runs (crash-grid trials): histograms
     and sums merge, the top list is the slowest-N of the union, samples

@@ -186,77 +186,6 @@ let test_nested_pool_runs_sequentially () =
     [ [ 11; 12; 13 ]; [ 21; 22; 23 ] ]
     outer
 
-(* ---- phased stations ------------------------------------------------------- *)
-
-(* run_phased's contract: stations share nothing while stepping (each owns
-   its accumulator, inbox, and outbox row) and traffic only moves in the
-   caller's exchange, so domains 0 (pure sequential) and any worker count
-   must leave identical state behind — accumulators, finalizer output, and
-   Obs totals. *)
-let phased_run domains =
-  let stations = 4 in
-  let rounds = 6 in
-  let acc = Array.make stations 0 in
-  let inbox = Array.make stations 0 in
-  let outbox = Array.make_matrix stations stations 0 in
-  let finals = Array.make stations 0 in
-  let step ~station ~round =
-    acc.(station) <-
-      (acc.(station) * 31) + inbox.(station) + ((station + 1) * (round + 1));
-    Obs.bump ~tid:station Obs.id_help;
-    for dest = 0 to stations - 1 do
-      outbox.(station).(dest) <- acc.(station) + dest
-    done
-  in
-  let exchange ~round =
-    for dest = 0 to stations - 1 do
-      inbox.(dest) <- 0;
-      for from = 0 to stations - 1 do
-        inbox.(dest) <- inbox.(dest) + outbox.(from).(dest)
-      done
-    done;
-    round < rounds - 1
-  in
-  let finalize ~station = finals.(station) <- (acc.(station) * 7) + 1 in
-  Sim.Pool.run_phased ~domains ~stations ~step ~exchange ~finalize ();
-  (Array.to_list acc, Array.to_list finals)
-
-let test_run_phased_matches_sequential () =
-  Obs.reset ();
-  let seq = phased_run 0 in
-  let seq_totals = Obs.totals () in
-  Obs.reset ();
-  let par = phased_run 3 in
-  let par_totals = Obs.totals () in
-  Obs.reset ();
-  Alcotest.(check (pair (list int) (list int)))
-    "station state identical for domains 0 and 3" seq par;
-  Alcotest.(check (list int))
-    "Obs totals identical for domains 0 and 3" (Array.to_list seq_totals)
-    (Array.to_list par_totals);
-  (* more workers than worker stations: the extras just idle *)
-  Alcotest.(check (pair (list int) (list int)))
-    "station state identical with surplus domains" seq (phased_run 8)
-
-exception Station_failed of int
-
-let test_run_phased_propagates_failure () =
-  let run domains =
-    let step ~station ~round =
-      if station = 2 && round = 1 then raise (Station_failed station)
-    in
-    match
-      Sim.Pool.run_phased ~domains ~stations:4 ~step
-        ~exchange:(fun ~round -> round < 3)
-        ~finalize:(fun ~station:_ -> ())
-        ()
-    with
-    | () -> Alcotest.fail "expected run_phased to re-raise"
-    | exception Station_failed i -> i
-  in
-  Alcotest.(check int) "sequential re-raises the station failure" 2 (run 0);
-  Alcotest.(check int) "parallel re-raises the station failure" 2 (run 3)
-
 (* ---- trace merge ----------------------------------------------------------- *)
 
 (* With tracing on, pool workers record into per-domain rings of the
@@ -316,11 +245,6 @@ let () =
         [ case "first failing job re-raises" test_raising_job_propagates_first ] );
       ( "nesting",
         [ case "nested pool runs sequentially" test_nested_pool_runs_sequentially ] );
-      ( "phased",
-        [
-          case "phased stations parity" test_run_phased_matches_sequential;
-          case "phased failure propagation" test_run_phased_propagates_failure;
-        ] );
       ( "tracing",
         [
           slow_case "trace merge parity" test_trace_merge_parity;

@@ -58,22 +58,23 @@ let test_router_balance () =
   done
 
 (* Routing stability: placement is a pure function of (key, shard count),
-   so a no-op reconfigure — and even a zone re-balance — must keep every
-   key on its shard. Only changing the shard count may move keys. *)
-let test_router_reconfigure_stability () =
+   so a router rebuilt with the same topology — and even one with a
+   different zone count — must keep every key on its shard. Only changing
+   the shard count may move keys. *)
+let test_router_stability_across_zones () =
   let r = Router.create ~shards:8 ~zones:4 in
-  let noop = Router.reconfigure r ~shards:8 ~zones:4 in
-  let rezoned = Router.reconfigure r ~shards:8 ~zones:2 in
-  check_int "shards preserved" 8 (Router.shards noop);
+  let same = Router.create ~shards:8 ~zones:4 in
+  let rezoned = Router.create ~shards:8 ~zones:2 in
+  check_int "shards preserved" 8 (Router.shards same);
   check_int "zones updated" 2 (Router.zones rezoned);
   for k = 1 to 5_000 do
     let s = Router.shard_of_key r k in
-    check_int "stable across no-op reconfigure" s (Router.shard_of_key noop k);
+    check_int "stable across identical rebuild" s (Router.shard_of_key same k);
     check_int "stable across zone re-balance" s
       (Router.shard_of_key rezoned k)
   done;
   check_bool "shard-count change may remap" true
-    (let grown = Router.reconfigure r ~shards:9 ~zones:4 in
+    (let grown = Router.create ~shards:9 ~zones:4 in
      List.exists
        (fun k -> Router.shard_of_key grown k <> Router.shard_of_key r k)
        (List.init 100 (fun i -> i + 1)))
@@ -406,85 +407,6 @@ let test_svc_validation () =
     (Invalid_argument "Svc.Service.run: shards must be positive (got 0)")
     (fun () -> ignore (Service.run { base with Config.shards = 0 }))
 
-(* ---- domain-parallel engine ----------------------------------------------- *)
-
-module Domains = Svc.Domains
-
-let dom_base =
-  { base with Config.shards = 4; zones = 2; clients = 8; queue_cap = 64 }
-
-(* The epoch-exchange engine's whole contract: the report is a function of
-   the config alone, not of how many domains executed it. *)
-let test_domains_parallel_byte_identity () =
-  let cfg = { dom_base with Config.spans = true } in
-  let seq = Domains.run ~domains:1 cfg in
-  let par = Domains.run ~domains:4 cfg in
-  Alcotest.(check string)
-    "SLO JSON identical across domains 1/4" (Slo.to_json seq)
-    (Slo.to_json par);
-  Alcotest.(check string)
-    "span JSON identical across domains 1/4" (Slo.spans_to_json seq)
-    (Slo.spans_to_json par);
-  check_bool "non-trivial run" true (seq.Slo.completed > 0);
-  check_conservation par
-
-(* A one-shard power failure must not disturb the identity, and under
-   detect the crashed station recovers exactly-once in-line while the
-   other stations keep completing work. *)
-let test_domains_crash_detect_identity () =
-  let cfg =
-    {
-      dom_base with
-      Config.clients = 4;
-      requests_per_client = 400;
-      workload = Ycsb.Workload.a;
-      detect = true;
-      crash = Some { Config.crash_shard = 1; crash_at_ns = 30_000.0 };
-    }
-  in
-  let seq = Domains.run ~domains:1 cfg in
-  let par = Domains.run ~domains:4 cfg in
-  Alcotest.(check string)
-    "crash report identical across domains 1/4" (Slo.to_json seq)
-    (Slo.to_json par);
-  check_bool "shard 1 crashed" true
-    (List.nth par.Slo.shard_reports 1).Slo.crashed;
-  check_int "nothing lost under detect" 0 par.Slo.lost;
-  check_bool "stranded work replayed or suppressed" true
-    (par.Slo.replayed + par.Slo.dup_suppressed > 0);
-  List.iter
-    (fun s ->
-      check_int "audit clean" 0 s.Slo.audit_errors;
-      if not s.Slo.crashed then
-        check_bool
-          (Printf.sprintf "shard %d kept serving during outage" s.Slo.shard)
-          true
-          (s.Slo.completed_in_outage > 0))
-    par.Slo.shard_reports;
-  check_conservation par
-
-(* Scan fan-out crosses stations through the mailboxes; the aggregation
-   must still be domain-count independent. *)
-let test_domains_scan_identity () =
-  let cfg =
-    { dom_base with Config.workload = Ycsb.Workload.e; offered_mops = 2.0 }
-  in
-  let seq = Domains.run ~domains:1 cfg in
-  let par = Domains.run ~domains:3 cfg in
-  Alcotest.(check string)
-    "scan report identical across domains 1/3" (Slo.to_json seq)
-    (Slo.to_json par);
-  check_bool "scans completed" true (par.Slo.completed > 0);
-  check_bool "fan-out happened" true (par.Slo.enqueued > par.Slo.requests)
-
-let test_domains_rejects_delay () =
-  Alcotest.check_raises "delay policy is composite-only"
-    (Invalid_argument
-       "Svc.Domains.run: the delay policy needs synchronous client pushback \
-        and is only supported by the composite engine (Service.run)")
-    (fun () ->
-      ignore (Domains.run { dom_base with Config.policy = Config.Delay 2_000.0 }))
-
 let () =
   Alcotest.run "svc"
     [
@@ -492,7 +414,8 @@ let () =
         [
           case "placement" test_router_placement;
           case "balance across shard counts" test_router_balance;
-          case "reconfigure stability" test_router_reconfigure_stability;
+          case "routing stability across zone counts"
+            test_router_stability_across_zones;
           case "hop costs" test_router_hop;
           case "range planning" test_router_range_plan;
           case "k-way merge" test_router_merge;
@@ -510,13 +433,6 @@ let () =
             test_svc_detect_crash_exactly_once;
           case "detect: crash-free parity" test_svc_detect_no_crash_parity;
           case "config validation" test_svc_validation;
-        ] );
-      ( "domains",
-        [
-          case "parallel byte-identity" test_domains_parallel_byte_identity;
-          slow_case "crash + detect identity" test_domains_crash_detect_identity;
-          case "scan fan-out identity" test_domains_scan_identity;
-          case "delay policy rejected" test_domains_rejects_delay;
         ] );
       ( "spans",
         [

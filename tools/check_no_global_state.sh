@@ -4,11 +4,11 @@
 #
 # lib/sim, lib/pmem, lib/svc, lib/obs and lib/detect must stay safe to
 # run on concurrent domains (Sim.Pool fans independent simulations out in
-# parallel, and Svc.Domains pins one shard station per worker domain).
+# parallel, including whole service runs in the -j tail-anatomy campaign).
 # All run-scoped mutable state lives either inside a per-run/per-instance
 # record or in Domain.DLS; a toplevel `ref`, mutable array, hashtable, or
 # buffer would be silently shared across domains and break the
-# byte-identical-output guarantee of `bench -j N` and `--domains N`.
+# byte-identical-output guarantee of `bench -j N`.
 #
 # Usage: check_no_global_state.sh DIR...
 # Exits non-zero and prints the offending lines if any are found.
